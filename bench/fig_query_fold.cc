@@ -2,14 +2,13 @@
 // extent-prefetch work: (1) ns/entry of the bitmap fold kernels
 // (DenseAccumulator::AddVector/ToSparse/Clear) against the scalar
 // accumulator they replaced, which must come out >= 2x; (2) cold-query
-// latency through a disk-backed index with the batched extent prefetcher on
-// vs. off in the same run. Answers are bit-identity-checked in-bench for the
+// latency through a disk-backed index, whose machine tasks always run the
+// batched extent prefetcher. Answers are bit-identity-checked in-bench for the
 // fold and by prefetch_test/store_equivalence_test for the query path — this
 // bench only prices the speed.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -147,7 +146,7 @@ Counters MeasureFoldKernels() {
 }
 
 // ---------------------------------------------------------------------------
-// Cold-query latency, prefetch on vs. off, same run
+// Cold-query latency through the disk backend (prefetch always on)
 // ---------------------------------------------------------------------------
 
 constexpr double kWebScale = 0.3;
@@ -164,7 +163,7 @@ std::shared_ptr<const HgpaPrecomputation> SharedPrecomputation() {
   return holder.second;
 }
 
-Counters MeasureColdQueries(bool prefetch_on) {
+Counters MeasureColdQueries() {
   auto pre = SharedPrecomputation();
   StorageOptions storage;
   storage.backend = StorageBackend::kDisk;
@@ -183,8 +182,6 @@ Counters MeasureColdQueries(bool prefetch_on) {
   std::vector<double> latency_ms;
   latency_ms.reserve(queries.size());
   StorageStats totals;
-  // The gate is read once per engine construction.
-  ::setenv("DPPR_PREFETCH", prefetch_on ? "on" : "off", 1);
   for (size_t round = 0; round < kColdRounds; ++round) {
     HgpaQueryEngine engine(base);
     for (size_t i = 0; i < kQueriesPerRound; ++i) {
@@ -194,7 +191,6 @@ Counters MeasureColdQueries(bool prefetch_on) {
     }
     totals += engine.index().StorageStatsTotal();
   }
-  ::unsetenv("DPPR_PREFETCH");
 
   std::sort(latency_ms.begin(), latency_ms.end());
   double sum = 0.0;
@@ -220,12 +216,7 @@ Counters MeasureColdQueries(bool prefetch_on) {
 
 void RegisterRows() {
   AddRow("query_fold/kernels", MeasureFoldKernels);
-  // Off first, on second: any OS page-cache warming from the first row can
-  // only bias *against* the prefetcher.
-  AddRow("query_fold/web/disk/prefetch=off",
-         [] { return MeasureColdQueries(false); });
-  AddRow("query_fold/web/disk/prefetch=on",
-         [] { return MeasureColdQueries(true); });
+  AddRow("query_fold/web/disk/prefetch=on", MeasureColdQueries);
 }
 
 }  // namespace

@@ -13,30 +13,13 @@
 
 namespace dppr {
 
-/// How the offline phase assigns compute sites to vectors.
-///
-///  - kLocality (the default): each machine induces only the subgraphs it is
-///    *home* to (PlacementPlan::home_machine — the machine whose leaf packing
-///    already holds the data), computes every hub for them, and ships each
-///    record to its Eq. 7 owner in one machine→machine exchange round per
-///    level. Induces never cross machines; records do.
-///  - kOwner: each machine induces every subgraph it owns hubs in (the
-///    literal Eq. 7 reading) and sends its records coordinator-ward. Most
-///    induces are remote — on a real cluster each one is a full subgraph
-///    transfer — which is exactly the traffic the locality mode removes.
-///
-/// Both modes produce bit-identical stores, ledgers, and query answers; they
-/// differ only in who computes what and which link the bytes cross.
-enum class OfflinePlacement : uint8_t { kLocality = 0, kOwner = 1 };
-
-/// "locality" or "owner" (bench row labels, demo output).
-const char* OfflinePlacementName(OfflinePlacement placement);
-
-/// Reads DPPR_OFFLINE ("locality" | "owner"); unset/empty returns `fallback`,
-/// anything else dies — a typo silently falling back would un-pin every CI
-/// leg that crosses this knob with transports and stores.
-OfflinePlacement OfflinePlacementFromEnv(
-    OfflinePlacement fallback = OfflinePlacement::kLocality);
+/// The offline phase's compute-site policy. Locality is the only one: each
+/// machine induces only the subgraphs it is *home* to
+/// (PlacementPlan::home_machine), computes every hub for them, and ships each
+/// record to its Eq. 7 owner in one machine→machine exchange round per level.
+/// The type survives only because external callers still assign it;
+/// nothing in the library reads it.
+enum class OfflinePlacement : uint8_t { kLocality = 0 };
 
 struct DistPrecomputeOptions {
   size_t num_machines = 4;
@@ -54,23 +37,19 @@ struct DistPrecomputeOptions {
   /// localhost sockets. Produced vectors and byte ledgers are bit-identical
   /// either way (net_equivalence_test enforces this).
   TransportOptions transport = TransportOptions::FromEnv();
-  /// Compute-site policy (see OfflinePlacement). Defaults to DPPR_OFFLINE,
-  /// else the locality shuffle pipeline.
-  OfflinePlacement locality = OfflinePlacementFromEnv();
+  /// Unread: locality is the only offline placement (see OfflinePlacement).
+  OfflinePlacement locality = OfflinePlacement::kLocality;
 };
 
 /// The paper's *distributed offline phase* (§5): plans per-machine work from
 /// the hierarchy (PlacementPlan) and executes it as SimCluster supersteps —
-/// one gather round of leaf local PPVs, then per hierarchy level (deepest
-/// first) either one shuffle round (locality placement: each home machine
-/// induces its subgraphs once, computes skeleton column + hub partial for
-/// every hub, and ships each VectorRecord to its Eq. 7 owner via
-/// RunExchange) or two gather rounds (owner placement: a skeleton-column
-/// round and a hub-partial round, each owner inducing the subgraphs it holds
-/// hubs in). Either way the record lands in its owner's PpvStore, and the
-/// folded MultiRoundStats — rounds, simulated seconds, bytes shipped, with
-/// shuffle traffic in its own column — are the numbers the paper's offline
-/// tables measure.
+/// one gather round of leaf local PPVs, then one shuffle round per hierarchy
+/// level (deepest first): each home machine induces its subgraphs once,
+/// computes skeleton column + hub partial for every hub, and ships each
+/// VectorRecord to its Eq. 7 owner via RunExchange. The record lands in its
+/// owner's PpvStore, and the folded MultiRoundStats — rounds, simulated
+/// seconds, bytes shipped, with shuffle traffic in its own column — are the
+/// numbers the paper's offline tables measure.
 ///
 /// The produced vectors are bit-identical to HgpaPrecomputation::Run on the
 /// same hierarchy (both call the same compute kernels and the wire format
@@ -83,22 +62,17 @@ class DistributedPrecompute {
     HgpaOptions options;
     /// Machine m's vectors, owned (deserialized from its round payloads).
     std::vector<PpvStore> stores;
-    PlacementPlan plan;
-    /// Which compute-site policy produced this result.
-    OfflinePlacement placement = OfflinePlacement::kLocality;
+    /// The placement the run followed; shared with the index built from it.
+    std::shared_ptr<const PlacementPlan> plan;
     /// Offline cost report: one entry accumulated per superstep.
     MultiRoundStats offline;
-    /// Per hub level (deepest first): what the level's superstep(s) induced
-    /// and shipped. `remote_induces` counts induces on a machine that is not
-    /// the subgraph's home (always 0 under locality placement — that is the
-    /// mode's whole point). `shuffled_*` count records whose owner differed
-    /// from their compute site; under owner placement nothing shuffles (the
-    /// owner computed it), so those columns read 0 and the records ride the
-    /// gather payloads instead (`local_*`).
+    /// Per hub level (deepest first): what the level's superstep induced and
+    /// shipped. `local_*` count records whose owner is their compute site
+    /// (they stay in the self-addressed exchange slot); `shuffled_*` count
+    /// the records that crossed to another machine.
     struct LevelStats {
       uint32_t level = 0;
       size_t induces = 0;
-      size_t remote_induces = 0;
       size_t local_records = 0;
       size_t local_bytes = 0;
       size_t shuffled_records = 0;
@@ -107,8 +81,6 @@ class DistributedPrecompute {
     std::vector<LevelStats> levels;
     /// Σ induces across all supersteps, leaf round included.
     size_t induces = 0;
-    /// Σ induces whose machine != the subgraph's home machine.
-    size_t remote_induces = 0;
     /// Per-vector compute time charged to the machine that stores it (same
     /// semantics as HgpaIndex::offline_ledger on the centralized path).
     MachineTimeLedger ledger{1};

@@ -7,24 +7,9 @@
 
 #include "dppr/common/env.h"
 #include "dppr/common/serialize.h"
-#include "dppr/common/timer.h"
 #include "dppr/ppr/sparse_vector.h"
 
 namespace dppr {
-namespace {
-
-/// DPPR_PREFETCH=on|off (default on). A typo must not silently serve
-/// unprefetched — same refuse-to-guess policy as DPPR_STORE.
-bool PrefetchEnabledFromEnv() {
-  std::string value = GetEnvString("DPPR_PREFETCH", "on");
-  if (value == "on") return true;
-  if (value == "off") return false;
-  DPPR_CHECK(false && "DPPR_PREFETCH must be \"on\" or \"off\"");
-  return true;
-}
-
-}  // namespace
-
 ReplicationOptions ReplicationOptions::FromEnv() {
   ReplicationOptions options;
   int64_t budget = GetEnvInt("DPPR_REPLICATE_BYTES", 0);
@@ -51,7 +36,8 @@ HgpaIndex HgpaIndex::Distribute(
   index.options_ = pre.options();
   const Hierarchy& hierarchy = *index.hierarchy_;
 
-  PlacementPlan plan = PlacementPlan::Build(hierarchy, num_machines);
+  index.plan_ = PlacementPlan::Build(hierarchy, num_machines);
+  const PlacementPlan& plan = *index.plan_;
   index.stores_.reserve(num_machines);
   for (size_t m = 0; m < num_machines; ++m) index.stores_.emplace_back(storage);
   index.offline_ = MachineTimeLedger(num_machines);
@@ -78,8 +64,6 @@ HgpaIndex HgpaIndex::Distribute(
     }
   }
 
-  index.machine_hubs_ = std::move(plan.machine_hubs);
-  index.own_machine_ = std::move(plan.own_machine);
   index.ReplicateHotShards(replication);
   return index;
 }
@@ -88,6 +72,7 @@ HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
                                      const ReplicationOptions& replication) {
   DPPR_CHECK(result.graph != nullptr);
   DPPR_CHECK(result.hierarchy != nullptr);
+  DPPR_CHECK(result.plan != nullptr);
   DPPR_CHECK_GE(result.stores.size(), 1u);
 
   HgpaIndex index;
@@ -95,8 +80,7 @@ HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
   index.hierarchy_ = std::move(result.hierarchy);
   index.options_ = result.options;
   index.stores_ = std::move(result.stores);
-  index.machine_hubs_ = std::move(result.plan.machine_hubs);
-  index.own_machine_ = std::move(result.plan.own_machine);
+  index.plan_ = std::move(result.plan);
   index.offline_ = std::move(result.ledger);
   index.ReplicateHotShards(replication);
   return index;
@@ -119,7 +103,7 @@ void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
   };
   std::vector<Group> groups;
   for (size_t m = 0; m < stores_.size(); ++m) {
-    for (const auto& [sub, hubs] : machine_hubs_[m]) {
+    for (const auto& [sub, hubs] : plan_->machine_hubs[m]) {
       size_t bytes = 0;
       for (NodeId hub : hubs) {
         PpvPair pair = stores_[m].FindPair(sub, hub);
@@ -145,7 +129,7 @@ void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
     // Groups are replicated whole or not at all; an oversized group is
     // skipped and packing continues with the smaller ones behind it.
     if (replica_bytes_ + g.bytes > replication.budget_bytes) continue;
-    for (NodeId hub : machine_hubs_[g.owner].at(g.sub)) {
+    for (NodeId hub : plan_->machine_hubs[g.owner].at(g.sub)) {
       PpvPair pair = stores_[g.owner].FindPair(g.sub, hub);
       const size_t skeleton_bytes = pair.skeleton->SerializedBytes();
       const size_t partial_bytes = pair.partial->SerializedBytes();
@@ -199,11 +183,7 @@ HgpaQueryEngine::HgpaQueryEngine(HgpaIndex index, NetworkModel network,
                                  RoutingOptions routing)
     : index_(std::move(index)),
       cluster_(index_.num_machines(), network, /*sequential=*/false, transport),
-      prefetch_enabled_(PrefetchEnabledFromEnv()) {
-  if (routing.mode == RoutingMode::kRoute) {
-    router_ = std::make_shared<const QueryRouter>(index_);
-  }
-}
+      router_(std::make_shared<const QueryRouter>(index_, routing.mode)) {}
 
 void HgpaQueryEngine::CollectOwnerKeys(size_t owner,
                                        std::span<const Preference> preferences,
@@ -230,38 +210,7 @@ void HgpaQueryEngine::CollectOwnerKeys(size_t owner,
   }
 }
 
-std::vector<uint64_t> HgpaQueryEngine::CollectBatchKeys(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
-  std::vector<uint64_t> keys;
-  for (std::span<const Preference> preferences : queries) {
-    CollectOwnerKeys(machine, preferences, keys);
-  }
-  return keys;
-}
-
 std::vector<uint8_t> HgpaQueryEngine::MachineTask(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
-  // Pull the batch's cold extents in up front with sorted, coalesced reads:
-  // without this every miss preads one extent inside the fold, serialized
-  // per hub. Only the disk backend has anything to load, so the in-memory
-  // backends skip the key enumeration entirely.
-  const PpvStore& store = index_.store(machine);
-  if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
-    store.Prefetch(CollectBatchKeys(machine, queries));
-  }
-  // One accumulator reused across the batch (Clear is O(touched)); the
-  // payload concatenates one serialized fragment per query, in query order.
-  DenseAccumulator acc(index_.hierarchy().num_nodes());
-  ByteWriter writer;
-  for (std::span<const Preference> preferences : queries) {
-    AccumulateOwner(machine, machine, preferences, acc);
-    acc.ToSparse().SerializeTo(writer);
-    acc.Clear();
-  }
-  return writer.Release();
-}
-
-std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
     size_t machine, std::span<const std::span<const Preference>> queries,
     std::span<const QueryRouter::Plan> plans) const {
   // Which slot of each plan this machine fills (SIZE_MAX = not targeted).
@@ -272,8 +221,12 @@ std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
     return static_cast<size_t>(it - plan.machines.begin());
   };
 
+  // Pull the batch's cold extents in up front with sorted, coalesced reads:
+  // without this every miss preads one extent inside the fold, serialized
+  // per hub. Only the disk backend has anything to load, so the in-memory
+  // backends skip the key enumeration entirely.
   const PpvStore& store = index_.store(machine);
-  if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
+  if (store.backend() == StorageBackend::kDisk) {
     std::vector<uint64_t> keys;
     for (size_t q = 0; q < queries.size(); ++q) {
       const size_t slot = slot_of(plans[q]);
@@ -285,6 +238,7 @@ std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
     store.Prefetch(keys);
   }
 
+  // One accumulator reused across the batch (Clear is O(touched)).
   DenseAccumulator acc(index_.hierarchy().num_nodes());
   ByteWriter writer;
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -365,6 +319,7 @@ std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
     std::vector<QueryMetrics>* per_query_metrics,
     QueryMetrics* round_metrics) const {
   const size_t num_queries = queries.size();
+  const size_t num_machines = index_.num_machines();
   std::vector<SparseVector> results(num_queries);
   if (num_queries == 0) {
     // Still honor the metrics contract, so callers reusing out-params don't
@@ -373,80 +328,6 @@ std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
     if (per_query_metrics != nullptr) per_query_metrics->clear();
     return results;
   }
-
-  if (router_ != nullptr) {
-    return RunRouted(queries, per_query_metrics, round_metrics);
-  }
-
-  SimCluster::RoundResult round = cluster_.RunRound(
-      [&](size_t machine) { return MachineTask(machine, queries); });
-
-  WallTimer coordinator_timer;
-  std::vector<CommStats> per_query_comm(num_queries);
-  DenseAccumulator acc(index_.graph().num_nodes());
-  if (num_queries == 1) {
-    // Hot single-query path: payload order is already machine order — the
-    // reduce order — so fold each fragment as it is deserialized instead of
-    // materializing all n fragments at once. Same AddVector sequence as the
-    // batch path below, so results stay bit-identical across both.
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      size_t before = reader.remaining();
-      acc.AddVector(SparseVector::Deserialize(reader), 1.0);
-      per_query_comm[0].Record(before - reader.remaining());
-      DPPR_CHECK(reader.AtEnd());
-    }
-    results[0] = acc.ToSparse();
-  } else {
-    // Split every machine payload back into its per-query fragments; fragment
-    // boundaries also yield each query's own share of the round's traffic.
-    std::vector<std::vector<SparseVector>> fragments(num_queries);
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        size_t before = reader.remaining();
-        fragments[q].push_back(SparseVector::Deserialize(reader));
-        per_query_comm[q].Record(before - reader.remaining());
-      }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce each query over its fragments in machine order, so the result is
-    // bit-identical to the single-query path regardless of batch composition.
-    for (size_t q = 0; q < num_queries; ++q) {
-      for (const SparseVector& fragment : fragments[q]) acc.AddVector(fragment, 1.0);
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-  }
-  round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
-
-  QueryMetrics shared;
-  shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
-  shared.coordinator_seconds = round.metrics.coordinator_seconds;
-  shared.simulated_seconds = round.metrics.SimulatedSeconds(cluster_.network());
-  shared.comm = round.metrics.to_coordinator;
-  shared.machines_contacted = index_.num_machines();
-  shared.round_id = round.round_id;
-  shared.machine_seconds = round.metrics.machine_seconds;
-  shared.machines.resize(index_.num_machines());
-  for (size_t m = 0; m < shared.machines.size(); ++m) shared.machines[m] = m;
-  if (round_metrics != nullptr) *round_metrics = shared;
-  if (per_query_metrics != nullptr) {
-    per_query_metrics->assign(num_queries, shared);
-    for (size_t q = 0; q < num_queries; ++q) {
-      (*per_query_metrics)[q].comm = per_query_comm[q];
-    }
-  }
-  return results;
-}
-
-std::vector<SparseVector> HgpaQueryEngine::RunRouted(
-    std::span<const std::span<const Preference>> queries,
-    std::vector<QueryMetrics>* per_query_metrics,
-    QueryMetrics* round_metrics) const {
-  const size_t num_queries = queries.size();
-  const size_t num_machines = index_.num_machines();
-  std::vector<SparseVector> results(num_queries);
 
   // Per-query routing plans over the nonzero-weight sources, then the round's
   // participant set: the ascending union of every plan's targets.
@@ -477,49 +358,53 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
   if (!participants.empty()) {
     SimCluster::RoundResult round =
         cluster_.RunRoundOn(participants, [&](size_t machine) {
-          return RoutedMachineTask(machine, queries, plans);
+          return MachineTask(machine, queries, plans);
         });
 
-    WallTimer coordinator_timer;
-    // Re-walk each participant's (query, owner) serialization order to slice
-    // its payload back into per-query owner fragments.
-    std::vector<std::vector<std::pair<size_t, SparseVector>>> fragments(
-        num_queries);
-    for (size_t machine : participants) {
-      const auto& payload = round.payloads[machine];
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        const QueryRouter::Plan& plan = plans[q];
-        auto it = std::lower_bound(plan.machines.begin(), plan.machines.end(),
-                                   machine);
-        if (it == plan.machines.end() || *it != machine) continue;
-        const size_t slot = static_cast<size_t>(it - plan.machines.begin());
-        for (size_t owner : plan.owners[slot]) {
-          size_t before = reader.remaining();
-          fragments[q].emplace_back(owner, SparseVector::Deserialize(reader));
-          per_query_comm[q].Record(before - reader.remaining());
+    auto reduce = [&] {
+      // Re-walk each participant's (query, owner) serialization order to
+      // slice its payload back into per-query owner fragments.
+      std::vector<std::vector<std::pair<size_t, SparseVector>>> fragments(
+          num_queries);
+      for (size_t machine : participants) {
+        const auto& payload = round.payloads[machine];
+        ByteReader reader(payload.data(), payload.size());
+        for (size_t q = 0; q < num_queries; ++q) {
+          const QueryRouter::Plan& plan = plans[q];
+          auto it = std::lower_bound(plan.machines.begin(),
+                                     plan.machines.end(), machine);
+          if (it == plan.machines.end() || *it != machine) continue;
+          const size_t slot = static_cast<size_t>(it - plan.machines.begin());
+          for (size_t owner : plan.owners[slot]) {
+            size_t before = reader.remaining();
+            fragments[q].emplace_back(owner, SparseVector::Deserialize(reader));
+            per_query_comm[q].Record(before - reader.remaining());
+          }
         }
+        DPPR_CHECK(reader.AtEnd());
       }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce every query in OWNER order — the broadcast oracle's machine
-    // order. Which physical machine computed a fragment never reorders the
-    // floating-point fold, and the owners broadcast would have gathered
-    // empty fragments from add nothing, so results stay bit-identical.
-    DenseAccumulator acc(index_.graph().num_nodes());
-    for (size_t q = 0; q < num_queries; ++q) {
-      std::sort(fragments[q].begin(), fragments[q].end(),
-                [](const std::pair<size_t, SparseVector>& a,
-                   const std::pair<size_t, SparseVector>& b) {
-                  return a.first < b.first;
-                });
-      for (const auto& [owner, fragment] : fragments[q]) {
-        acc.AddVector(fragment, 1.0);
+      // Reduce every query in OWNER order — the identity plan's machine
+      // order. Which physical machine computed a fragment never reorders the
+      // floating-point fold, and the owners broadcast would have gathered
+      // empty fragments from add nothing, so results stay bit-identical.
+      DenseAccumulator acc(index_.graph().num_nodes());
+      for (size_t q = 0; q < num_queries; ++q) {
+        std::sort(fragments[q].begin(), fragments[q].end(),
+                  [](const std::pair<size_t, SparseVector>& a,
+                     const std::pair<size_t, SparseVector>& b) {
+                    return a.first < b.first;
+                  });
+        for (const auto& [owner, fragment] : fragments[q]) {
+          acc.AddVector(fragment, 1.0);
+        }
+        results[q] = acc.ToSparse();
+        acc.Clear();
       }
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-    round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
+    };
+    // Timed into coordinator_seconds and the cluster.reduce_us histogram,
+    // under a cluster.reduce span in the query's trace context.
+    round.metrics.coordinator_seconds =
+        SimCluster::TimeReduce(round.round_id, reduce);
 
     shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
     shared.coordinator_seconds = round.metrics.coordinator_seconds;

@@ -74,19 +74,21 @@ class HgpaIndex {
 
   const PpvStore& store(size_t machine) const { return stores_[machine]; }
 
-  /// Hubs a machine is responsible for, grouped by subgraph. Query-time
-  /// machine work iterates the query chain against this map.
+  /// The placement the stores follow, shared with the offline run that
+  /// produced it and with every QueryRouter built over this index.
+  std::shared_ptr<const PlacementPlan> shared_plan() const { return plan_; }
+
+  /// Hubs a machine is responsible for, grouped by subgraph (a view of the
+  /// shared plan). Query-time machine work iterates the query chain against
+  /// this map.
   const std::unordered_map<SubgraphId, std::vector<NodeId>>& hubs_on_machine(
       size_t machine) const {
-    return machine_hubs_[machine];
+    return plan_->machine_hubs[machine];
   }
 
   /// Machine holding u's own vector (leaf local PPV for non-hubs, the hub
-  /// partial vector for hubs).
-  size_t own_vector_machine(NodeId u) const { return own_machine_[u]; }
-
-  /// Full own-vector placement table (what QueryRouter snapshots).
-  const std::vector<size_t>& own_machine() const { return own_machine_; }
+  /// partial vector for hubs), read from the shared plan.
+  size_t own_vector_machine(NodeId u) const { return plan_->own_machine[u]; }
 
   /// Hierarchy as a shared handle (kept alive by the index; lets a router
   /// outlive index moves).
@@ -135,8 +137,7 @@ class HgpaIndex {
   /// Keep-alive for referencing-mode stores; null when stores_ own vectors.
   std::shared_ptr<const HgpaPrecomputation> precomputation_;
   std::vector<PpvStore> stores_;
-  std::vector<std::unordered_map<SubgraphId, std::vector<NodeId>>> machine_hubs_;
-  std::vector<size_t> own_machine_;
+  std::shared_ptr<const PlacementPlan> plan_;
   MachineTimeLedger offline_{1};
   /// Keys (kHubPartial-kinded) of the replicated hub pairs.
   std::unordered_set<uint64_t> replicated_hubs_;
@@ -153,9 +154,9 @@ struct QueryMetrics {
   double simulated_seconds = 0.0;
   /// Bytes received by the coordinator (the paper's communication cost).
   CommStats comm;
-  /// Machines that actually ran for this query: num_machines under
-  /// broadcast, the routed plan's target set under routing (0 when the
-  /// round was skipped entirely, e.g. a result-cache hit or an all-zero
+  /// Machines that actually ran for this query: the plan's target set —
+  /// num_machines under broadcast's identity plan (0 when the round was
+  /// skipped entirely, e.g. a result-cache hit or a routed all-zero
   /// preference set).
   size_t machines_contacted = 0;
   /// Bytes routing did NOT ship versus broadcast: one empty serialized
@@ -199,15 +200,14 @@ class HgpaQueryEngine {
   /// localhost sockets); answers and fragment byte accounting are
   /// bit-identical across backends.
   /// `routing` picks the query fan-out (DPPR_ROUTING; default route — only
-  /// contributing shards run each query's round; broadcast is the oracle).
+  /// contributing shards run each query's round; broadcast, the oracle, is
+  /// the router's identity plan over the same round path).
   explicit HgpaQueryEngine(HgpaIndex index, NetworkModel network = {},
                            TransportOptions transport = TransportOptions::FromEnv(),
                            RoutingOptions routing = RoutingOptions::FromEnv());
 
-  RoutingMode routing_mode() const {
-    return router_ != nullptr ? RoutingMode::kRoute : RoutingMode::kBroadcast;
-  }
-  /// The routing table (null under broadcast).
+  RoutingMode routing_mode() const { return router_->mode(); }
+  /// The routing table every round is planned with (never null).
   const QueryRouter* router() const { return router_.get(); }
 
   /// Switches how machine compute time is measured (see SimCluster::TimerKind;
@@ -257,56 +257,41 @@ class HgpaQueryEngine {
   const HgpaIndex& index() const { return index_; }
 
  private:
+  /// `machine` computes, for every query whose plan targets it, one fragment
+  /// per owner it covers (its own plus absorbed replicated owners), in
+  /// (query, owner) order. Disk-backed stores first prefetch every key the
+  /// folds will read.
   std::vector<uint8_t> MachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
-  /// Routed counterpart: `machine` computes, for every query whose plan
-  /// targets it, one fragment per owner it covers (its own plus absorbed
-  /// replicated owners), in (query, owner) order.
-  std::vector<uint8_t> RoutedMachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries,
+      size_t machine, std::span<const std::span<const Preference>> queries,
       std::span<const QueryRouter::Plan> plans) const;
 
   /// Folds owner `owner`'s share of the query — its hubs along every
   /// preference chain plus its own terms — reading vectors from `machine`'s
-  /// store. Broadcast passes owner == machine; the routed path may pass a
-  /// replicated owner absorbed onto `machine`. The fold order is identical
-  /// either way, which is what keeps routed results bit-identical.
+  /// store. The owner is `machine` itself or a replicated owner absorbed onto
+  /// it; the fold order is identical either way, which is what keeps routed
+  /// results bit-identical to broadcast.
   void AccumulateOwner(size_t machine, size_t owner,
                        std::span<const Preference> preferences,
                        DenseAccumulator& acc) const;
 
   /// Appends every storage key owner `owner`'s fold of this query will look
-  /// up, in fold order — what the machine tasks hand to PpvStore::Prefetch
-  /// so the disk backend's cold misses overlap up front instead of
-  /// serializing inside AccumulateOwner.
+  /// up, in fold order — what MachineTask hands to PpvStore::Prefetch so the
+  /// disk backend's cold misses overlap up front instead of serializing
+  /// inside AccumulateOwner.
   void CollectOwnerKeys(size_t owner, std::span<const Preference> preferences,
                         std::vector<uint64_t>& keys) const;
 
-  std::vector<uint64_t> CollectBatchKeys(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
+  /// The one round path: plan every query, run the union of the plans'
+  /// machines, and reduce each query's fragments in owner order.
   std::vector<SparseVector> RunDistributed(
-      std::span<const std::span<const Preference>> queries,
-      std::vector<QueryMetrics>* per_query_metrics,
-      QueryMetrics* round_metrics) const;
-
-  std::vector<SparseVector> RunRouted(
       std::span<const std::span<const Preference>> queries,
       std::vector<QueryMetrics>* per_query_metrics,
       QueryMetrics* round_metrics) const;
 
   HgpaIndex index_;
   SimCluster cluster_;
-  /// DPPR_PREFETCH gate, read once at construction ("on" unless overridden;
-  /// a typo dies). Only consulted for disk-backed stores — the in-memory
-  /// backends have nothing to prefetch, so key enumeration is skipped too.
-  bool prefetch_enabled_;
-  /// Routing table under RoutingMode::kRoute; null under broadcast. Shared
-  /// (and self-contained) so engine copies and moves stay cheap and safe.
+  /// Shared (and self-contained) so engine copies and moves stay cheap and
+  /// safe.
   std::shared_ptr<const QueryRouter> router_;
 };
 

@@ -6,10 +6,11 @@
 
 namespace dppr {
 
-PlacementPlan PlacementPlan::Build(const Hierarchy& hierarchy,
-                                   size_t num_machines) {
+std::shared_ptr<const PlacementPlan> PlacementPlan::Build(
+    const Hierarchy& hierarchy, size_t num_machines) {
   DPPR_CHECK_GE(num_machines, 1u);
-  PlacementPlan plan;
+  auto shared = std::make_shared<PlacementPlan>();
+  PlacementPlan& plan = *shared;
   plan.machine_hubs.resize(num_machines);
   plan.machine_leaves.resize(num_machines);
   plan.own_machine.assign(hierarchy.num_nodes(), 0);
@@ -68,7 +69,7 @@ PlacementPlan PlacementPlan::Build(const Hierarchy& hierarchy,
     load[machine] += hierarchy.subgraph(id).nodes.size();
     plan.home_machine[id] = machine;
   }
-  return plan;
+  return shared;
 }
 
 }  // namespace dppr

@@ -2,6 +2,7 @@
 #define DPPR_CORE_PLACEMENT_H_
 
 #include <cstddef>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -17,15 +18,15 @@ namespace dppr {
 ///  - leaf subgraphs: greedy least-loaded packing by node count, larger
 ///    leaves first ("distribute the leaf level subgraphs evenly", §4.4).
 ///
-/// Both the offline drivers (HgpaIndex::Distribute over a centralized
-/// precomputation, DistributedPrecompute's SimCluster rounds) and the query
-/// engine consume the same plan, so the distributed rebuild reproduces the
-/// centralized placement exactly — including the per-(machine, subgraph) hub
-/// order the query-time accumulation depends on.
+/// The plan is built once and shared read-only: the offline drivers
+/// (HgpaIndex::Distribute over a centralized precomputation,
+/// DistributedPrecompute's SimCluster rounds), the index, the query router
+/// and hot-shard replication all read the same table, so the distributed
+/// rebuild reproduces the centralized placement exactly — including the
+/// per-(machine, subgraph) hub order the query-time accumulation depends on.
 ///
-/// Every subgraph additionally has a *home machine* — its compute site under
-/// locality placement, distinct from the Eq. 7 *owner* that stores each hub's
-/// vectors. Leaves are home where the leaf packing put them (that machine
+/// Every subgraph additionally has a *home machine* — its offline compute
+/// site, distinct from the Eq. 7 *owner* that stores each hub's vectors. Leaves are home where the leaf packing put them (that machine
 /// already holds their data); internal subgraphs span many leaves, so they
 /// fall back to deterministic least-loaded packing by node count.
 struct PlacementPlan {
@@ -37,16 +38,16 @@ struct PlacementPlan {
   /// Per node: the machine holding its own vector (leaf local PPV for
   /// non-hubs, the hub partial vector for hubs).
   std::vector<size_t> own_machine;
-  /// Per subgraph: the machine that computes the subgraph's vectors under
-  /// locality placement (DistributedPrecompute's default). For leaves this is
-  /// the leaf-packing machine; internal subgraphs are packed greedy
+  /// Per subgraph: the machine that computes the subgraph's vectors in the
+  /// offline phase. For leaves this is the leaf-packing machine; internal subgraphs are packed greedy
   /// least-loaded by node count, larger first, seeded with the leaf loads so
   /// leaf-heavy machines pick up fewer hub subgraphs.
   std::vector<size_t> home_machine;
 
   size_t num_machines() const { return machine_hubs.size(); }
 
-  static PlacementPlan Build(const Hierarchy& hierarchy, size_t num_machines);
+  static std::shared_ptr<const PlacementPlan> Build(const Hierarchy& hierarchy,
+                                                    size_t num_machines);
 };
 
 }  // namespace dppr

@@ -37,13 +37,14 @@ RoutingOptions RoutingOptions::FromEnv(RoutingMode fallback) {
   return options;
 }
 
-QueryRouter::QueryRouter(const HgpaIndex& index)
-    : hierarchy_(index.shared_hierarchy()),
-      num_machines_(index.num_machines()),
-      own_machine_(index.own_machine()) {
+QueryRouter::QueryRouter(const HgpaIndex& index, RoutingMode mode)
+    : mode_(mode),
+      hierarchy_(index.shared_hierarchy()),
+      plan_(index.shared_plan()) {
+  if (mode_ == RoutingMode::kBroadcast) return;  // identity plans need no table
   sub_contributors_.resize(hierarchy_->num_subgraphs());
-  for (size_t m = 0; m < num_machines_; ++m) {
-    for (const auto& [sub, hubs] : index.hubs_on_machine(m)) {
+  for (size_t m = 0; m < num_machines(); ++m) {
+    for (const auto& [sub, hubs] : plan_->machine_hubs[m]) {
       bool absorbable = true;
       for (NodeId hub : hubs) {
         if (!index.hub_replicated(sub, hub)) {
@@ -73,25 +74,38 @@ QueryRouter::QueryRouter(const HgpaIndex& index)
 }
 
 QueryRouter::Plan QueryRouter::Route(std::span<const NodeId> sources) const {
+  const size_t num_machines = this->num_machines();
+  const std::vector<size_t>& own_machine = plan_->own_machine;
+  Plan plan;
+  if (mode_ == RoutingMode::kBroadcast) {
+    plan.machines.resize(num_machines);
+    plan.owners.resize(num_machines);
+    for (size_t m = 0; m < num_machines; ++m) {
+      plan.machines[m] = m;
+      plan.owners[m] = {m};
+    }
+    plan.contributors = num_machines;
+    return plan;
+  }
+
   // Per machine: 0 = no vector of this query, 1 = contributes but every
   // needed vector is replicated (fold can run anywhere), 2 = must run.
-  std::vector<uint8_t> state(num_machines_, 0);
+  std::vector<uint8_t> state(num_machines, 0);
   for (NodeId u : sources) {
-    DPPR_CHECK_LT(u, own_machine_.size());
+    DPPR_CHECK_LT(u, own_machine.size());
     for (SubgraphId sub : hierarchy_->Chain(u)) {
       for (const SubContributor& c : sub_contributors_[sub]) {
         const uint8_t need = c.absorbable ? 1 : 2;
         if (state[c.machine] < need) state[c.machine] = need;
       }
     }
-    const size_t own = own_machine_[u];
+    const size_t own = own_machine[u];
     const uint8_t need = own_term_replicated_[u] ? 1 : 2;
     if (state[own] < need) state[own] = need;
   }
 
-  Plan plan;
   std::vector<size_t> absorbable;
-  for (size_t m = 0; m < num_machines_; ++m) {
+  for (size_t m = 0; m < num_machines; ++m) {
     if (state[m] == 2) {
       plan.machines.push_back(m);
     } else if (state[m] == 1) {
@@ -110,10 +124,10 @@ QueryRouter::Plan QueryRouter::Route(std::span<const NodeId> sources) const {
   // alone serves the whole query.
   size_t anchor;
   if (plan.machines.empty()) {
-    anchor = own_machine_[sources.front()];
+    anchor = own_machine[sources.front()];
     plan.machines.push_back(anchor);
   } else {
-    const size_t preferred = own_machine_[sources.front()];
+    const size_t preferred = own_machine[sources.front()];
     anchor = state[preferred] == 2 ? preferred : plan.machines.front();
   }
   plan.owners.resize(plan.machines.size());

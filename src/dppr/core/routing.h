@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "dppr/core/placement.h"
 #include "dppr/partition/hierarchy.h"
 
 namespace dppr {
@@ -19,8 +20,8 @@ enum class RoutingMode : uint8_t {
   /// chains (the routing-table plan below). Answers are bit-identical to
   /// broadcast; comm and machine time shrink to the contributing shards.
   kRoute = 0,
-  /// Fan every query out to all n machines — the original behavior, kept as
-  /// the bit-equality oracle.
+  /// Fan every query out to all n machines: the router emits the identity
+  /// plan (machine m covers owner m). Kept as the bit-equality oracle.
   kBroadcast = 1,
 };
 
@@ -37,17 +38,18 @@ struct RoutingOptions {
 
 /// Query routing table derived from the shared placement: which machines
 /// hold any vector a given source set's fold needs (the source's own-vector
-/// machine plus every machine owning hubs on the source's subgraph chain,
-/// via own_vector_machine + hubs_on_machine), and which of those owners'
-/// vectors are replicated everywhere so their fold can be absorbed onto
-/// another contributing machine instead of waking their own.
+/// machine plus every machine owning hubs on the source's subgraph chain),
+/// and which of those owners' vectors are replicated everywhere so their
+/// fold can be absorbed onto another contributing machine instead of waking
+/// their own. Under RoutingMode::kBroadcast every plan is the identity plan.
 ///
-/// Self-contained snapshot: construction copies what it needs out of the
-/// index (the hierarchy is shared, the tables are small), so a router stays
+/// Self-contained: the router shares the index's hierarchy and placement
+/// plan and derives only its per-subgraph contributor lists, so it stays
 /// valid when the engine that built it is moved.
 class QueryRouter {
  public:
-  explicit QueryRouter(const HgpaIndex& index);
+  explicit QueryRouter(const HgpaIndex& index,
+                       RoutingMode mode = RoutingMode::kRoute);
 
   /// One query's routed round. `machines` is the sorted set of physical
   /// machines to run; `owners[i]` lists, ascending, the logical owner
@@ -64,13 +66,16 @@ class QueryRouter {
     size_t contributors = 0;
   };
 
-  /// Routing plan for the nonzero-weight sources of one query. An empty
-  /// `sources` (or a source set nothing holds) yields an empty plan: the
-  /// round can be skipped outright, which is bit-neutral because skipped
-  /// machines only ever contribute empty fragments.
+  /// Routing plan for the nonzero-weight sources of one query. Under
+  /// kRoute an empty `sources` yields an empty plan: the round can be
+  /// skipped outright, which is bit-neutral because skipped machines only
+  /// ever contribute empty fragments. Under kBroadcast every query, empty
+  /// source sets included, gets the identity plan: machines 0..n-1, machine
+  /// m covering owner m alone, contributors = n.
   Plan Route(std::span<const NodeId> sources) const;
 
-  size_t num_machines() const { return num_machines_; }
+  RoutingMode mode() const { return mode_; }
+  size_t num_machines() const { return plan_->num_machines(); }
 
  private:
   /// One machine owning hubs in a subgraph; `absorbable` when every hub it
@@ -81,15 +86,16 @@ class QueryRouter {
     uint8_t absorbable;
   };
 
+  RoutingMode mode_;
   std::shared_ptr<const Hierarchy> hierarchy_;
-  size_t num_machines_ = 0;
-  /// Per subgraph, machine-ascending: machines owning hubs there.
+  std::shared_ptr<const PlacementPlan> plan_;
+  /// Per subgraph, machine-ascending: machines owning hubs there (kRoute
+  /// only).
   std::vector<std::vector<SubContributor>> sub_contributors_;
   /// Per node: the own term is readable on every machine (hubs whose
   /// (skeleton, partial) pair is replicated; never true for leaf own
-  /// vectors, which are not replicated).
+  /// vectors, which are not replicated). kRoute only.
   std::vector<uint8_t> own_term_replicated_;
-  std::vector<size_t> own_machine_;
 };
 
 }  // namespace dppr

@@ -119,58 +119,9 @@ SimCluster::SimCluster(size_t num_machines, NetworkModel network,
 }
 
 SimCluster::RoundResult SimCluster::RunRound(const MachineTask& task) const {
-  DPPR_CHECK(task != nullptr);
-  const uint64_t round = transport_->AllocateRound(FrameKind::kGather);
-  RoundResult result;
-  result.round_id = round;
-  result.metrics.machine_seconds.assign(num_machines_, 0.0);
-
-  // Machine tasks run on pool threads; re-establish the caller's (query's)
-  // trace context there so machine/store/net spans and outgoing frame
-  // headers stay attributed to the query that triggered the round.
-  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-  auto run_machine = [&](size_t machine) {
-    obs::TraceContextScope ctx_scope(trace_ctx);
-    // One span per machine superstep, on the machine's own timeline lane:
-    // covers compute and the send, so gaps between spans are queueing.
-    obs::TraceSpan span(obs::MachineLane(machine), "cluster.machine");
-    span.Arg("round", round);
-    span.Arg("machine", machine);
-    std::vector<uint8_t> payload;
-    result.metrics.machine_seconds[machine] =
-        RunTimed(timer_, [&] { payload = task(machine); });
-    // The send sits outside the machine timer: machine_seconds charges task
-    // compute only, so measured compute stays comparable across transport
-    // backends (the socket tax shows up in wall clock and benches instead).
-    transport_->SendToCoordinator(round, machine, std::move(payload));
-  };
-
-  if (sequential_ || num_machines_ == 1) {
-    // Sends complete before the gather starts; the transport buffers them
-    // (in-process mailbox / kernel socket buffers drained by the receive
-    // loop), so sequential mode cannot deadlock.
-    for (size_t machine = 0; machine < num_machines_; ++machine) {
-      run_machine(machine);
-    }
-  } else {
-    ThreadPool::Default().ParallelFor(num_machines_, run_machine);
-  }
-
-  result.payloads = transport_->GatherRound(round);
-  DPPR_CHECK_EQ(result.payloads.size(), num_machines_);
-  // Charge traffic in machine order so CommStats is independent of which
-  // worker finished first (GatherRound indexes payloads by machine).
-  for (const auto& payload : result.payloads) {
-    result.metrics.to_coordinator.Record(payload.size());
-  }
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.gather_rounds->Increment();
-  metrics.gather_bytes->Add(result.metrics.to_coordinator.bytes);
-  metrics.gather_messages->Add(result.metrics.to_coordinator.messages);
-  for (double s : result.metrics.machine_seconds) {
-    metrics.machine_task_us->Record(static_cast<uint64_t>(s * 1e6));
-  }
-  return result;
+  std::vector<size_t> all(num_machines_);
+  for (size_t m = 0; m < num_machines_; ++m) all[m] = m;
+  return RunRoundOn(all, task);
 }
 
 SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
@@ -186,20 +137,31 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
   result.round_id = round;
   result.metrics.machine_seconds.assign(num_machines_, 0.0);
 
+  // Machine tasks run on pool threads; re-establish the caller's (query's)
+  // trace context there so machine/store/net spans and outgoing frame
+  // headers stay attributed to the query that triggered the round.
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
   auto run_machine = [&](size_t index) {
     obs::TraceContextScope ctx_scope(trace_ctx);
     const size_t machine = machines[index];
+    // One span per machine superstep, on the machine's own timeline lane:
+    // covers compute and the send, so gaps between spans are queueing.
     obs::TraceSpan span(obs::MachineLane(machine), "cluster.machine");
     span.Arg("round", round);
     span.Arg("machine", machine);
     std::vector<uint8_t> payload;
     result.metrics.machine_seconds[machine] =
         RunTimed(timer_, [&] { payload = task(machine); });
+    // The send sits outside the machine timer: machine_seconds charges task
+    // compute only, so measured compute stays comparable across transport
+    // backends (the socket tax shows up in wall clock and benches instead).
     transport_->SendToCoordinator(round, machine, std::move(payload));
   };
 
   if (sequential_ || machines.size() == 1) {
+    // Sends complete before the gather starts; the transport buffers them
+    // (in-process mailbox / kernel socket buffers drained by the receive
+    // loop), so sequential mode cannot deadlock.
     for (size_t i = 0; i < machines.size(); ++i) run_machine(i);
   } else {
     ThreadPool::Default().ParallelFor(machines.size(), run_machine);
@@ -208,7 +170,7 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
   result.payloads = transport_->GatherRoundPartial(round, machines.size());
   DPPR_CHECK_EQ(result.payloads.size(), num_machines_);
   // Only participants' payloads exist; charge them in machine order so
-  // CommStats stays independent of completion order, like the full round.
+  // CommStats is independent of which worker finished first.
   for (size_t machine : machines) {
     result.metrics.to_coordinator.Record(result.payloads[machine].size());
   }
@@ -223,19 +185,25 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
   return result;
 }
 
+double SimCluster::TimeReduce(uint64_t round_id,
+                              const std::function<void()>& reduce) {
+  obs::TraceSpan span(obs::kCoordinatorLane, "cluster.reduce");
+  span.Arg("round", round_id);
+  WallTimer timer;
+  reduce();
+  const double seconds = timer.ElapsedSeconds();
+  ClusterMetrics::Get().reduce_us->Record(static_cast<uint64_t>(seconds * 1e6));
+  return seconds;
+}
+
 SimCluster::RoundResult SimCluster::RunRound(
     const MachineTask& task, const std::function<void(RoundResult&)>& reduce,
     MultiRoundStats* stats) const {
   DPPR_CHECK(stats != nullptr);
   RoundResult result = RunRound(task);
   if (reduce != nullptr) {
-    obs::TraceSpan span(obs::kCoordinatorLane, "cluster.reduce");
-    span.Arg("round", result.round_id);
-    WallTimer timer;
-    reduce(result);
-    result.metrics.coordinator_seconds = timer.ElapsedSeconds();
-    ClusterMetrics::Get().reduce_us->Record(
-        static_cast<uint64_t>(result.metrics.coordinator_seconds * 1e6));
+    result.metrics.coordinator_seconds =
+        TimeReduce(result.round_id, [&] { reduce(result); });
   }
   stats->Accumulate(result.metrics, network_);
   return result;
@@ -304,13 +272,8 @@ SimCluster::ExchangeResult SimCluster::RunExchange(
   DPPR_CHECK(stats != nullptr);
   ExchangeResult result = RunExchange(task);
   if (reduce != nullptr) {
-    obs::TraceSpan span(obs::kCoordinatorLane, "cluster.reduce");
-    span.Arg("round", result.round_id);
-    WallTimer timer;
-    reduce(result);
-    result.metrics.coordinator_seconds = timer.ElapsedSeconds();
-    ClusterMetrics::Get().reduce_us->Record(
-        static_cast<uint64_t>(result.metrics.coordinator_seconds * 1e6));
+    result.metrics.coordinator_seconds =
+        TimeReduce(result.round_id, [&] { reduce(result); });
   }
   stats->AccumulateExchange(result.metrics, network_);
   return result;

@@ -172,7 +172,8 @@ class SimCluster {
   /// Runs one round: `task(m)` for every machine m, each timed individually;
   /// every payload travels machine → coordinator through the Transport.
   /// The returned metrics have machine_seconds and to_coordinator filled;
-  /// coordinator_seconds is left 0 for the caller's reduce phase.
+  /// coordinator_seconds is left 0 for the caller's reduce phase. This is
+  /// RunRoundOn over all machines.
   RoundResult RunRound(const MachineTask& task) const;
 
   /// Routed round: runs `task` only on `machines` (sorted, unique, non-empty
@@ -184,6 +185,13 @@ class SimCluster {
   /// machine order.
   RoundResult RunRoundOn(std::span<const size_t> machines,
                          const MachineTask& task) const;
+
+  /// Times `reduce` as round `round_id`'s coordinator phase: one
+  /// cluster.reduce span on the coordinator lane (under the caller's trace
+  /// context) and one cluster.reduce_us sample. Returns the measured
+  /// seconds, the value the sample records.
+  static double TimeReduce(uint64_t round_id,
+                           const std::function<void()>& reduce);
 
   /// Multi-round convenience: runs one round, times `reduce` as the
   /// coordinator phase (stored into the round's coordinator_seconds), and

@@ -25,7 +25,6 @@ class InProcessTransport final : public Transport {
 
   void SendToCoordinator(uint64_t round, size_t src,
                          std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) override;
   std::vector<std::vector<uint8_t>> GatherRoundPartial(
       uint64_t round, size_t expected) override;
 

@@ -164,11 +164,13 @@ class Transport {
 
   /// Coordinator side: blocks until every machine's payload for `round`
   /// arrived; returns them indexed by machine.
-  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) = 0;
+  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) {
+    return GatherRoundPartial(round, num_machines());
+  }
 
-  /// Partial-gather variant for routed rounds: blocks until `expected`
-  /// payloads arrived (only a subset of machines sends), returns them still
-  /// indexed by machine — non-senders' entries are empty.
+  /// Blocks until `expected` payloads for `round` arrived (routed rounds
+  /// have only a subset of machines send) and returns them indexed by
+  /// machine — non-senders' entries are empty.
   virtual std::vector<std::vector<uint8_t>> GatherRoundPartial(
       uint64_t round, size_t expected) = 0;
 

@@ -92,8 +92,8 @@ struct ServerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t disk_bytes_read = 0;
-  /// Batched extent prefetch over the window (disk backend with
-  /// DPPR_PREFETCH=on; zero otherwise): loads started by Prefetch, keys
+  /// Batched extent prefetch over the window (disk backend only; zero
+  /// otherwise): loads started by Prefetch, keys
   /// already resident when examined, coalesced preads issued, and bytes
   /// those reads pulled in.
   uint64_t prefetch_issued = 0;

@@ -34,7 +34,7 @@ void ExpectBitIdentical(const HgpaPrecomputation& pre,
   ASSERT_EQ(stored, pre.items().size());
 
   for (const auto& item : pre.items()) {
-    size_t machine = MachineOf(result.plan, item);
+    size_t machine = MachineOf(*result.plan, item);
     PpvRef got = result.stores[machine].Find(item.kind, item.sub, item.node);
     ASSERT_TRUE(got)
         << "kind " << static_cast<int>(item.kind) << " sub " << item.sub
@@ -166,92 +166,93 @@ size_t HubLevels(const Hierarchy& hierarchy) {
 }
 
 TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
-  // Placements are pinned (not env-defaulted): these assertions are
-  // mode-specific and must hold under every CI DPPR_OFFLINE leg.
   Graph g = RandomDigraph(100, 3.0, 64);
   HgpaOptions options = SmallOptions();
+  auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   DistPrecomputeOptions dist;
   dist.num_machines = 4;
-  dist.locality = OfflinePlacement::kOwner;
-  DistributedPrecompute::Result owner =
-      DistributedPrecompute::RunHgpa(g, options, dist);
-  dist.locality = OfflinePlacement::kLocality;
-  DistributedPrecompute::Result locality =
-      DistributedPrecompute::RunHgpa(g, options, dist);
+  DistributedPrecompute::Result result =
+      DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
 
-  const size_t hub_levels = HubLevels(*owner.hierarchy);
+  const Hierarchy& h = *result.hierarchy;
+  const size_t hub_levels = HubLevels(h);
   ASSERT_GT(hub_levels, 0u);
 
-  // Owner placement: one leaf round plus a skeleton and a partial gather
-  // round per level with hubs; nothing ever shuffles machine→machine.
-  EXPECT_EQ(owner.placement, OfflinePlacement::kOwner);
-  EXPECT_EQ(owner.offline.rounds, 1 + 2 * hub_levels);
-  EXPECT_EQ(owner.offline.exchange_rounds, 0u);
-  EXPECT_EQ(owner.offline.comm.messages,
-            owner.offline.rounds * dist.num_machines);
-  EXPECT_EQ(owner.offline.shuffled.bytes, 0u);
-  // All shipped payload bytes materialized as stored vectors plus record
-  // headers, so traffic must dominate the stores' serialized footprint.
-  EXPECT_GT(owner.offline.comm.bytes, owner.TotalBytes());
-  // With 4 machines and Eq. 7 spreading, most hub induces are off-home.
-  EXPECT_GT(owner.remote_induces, 0u);
-
-  // Locality placement: the hub supersteps collapse into one exchange round
-  // per level, the coordinator link carries only the leaf gather, and no
-  // machine ever induces a subgraph it is not home to.
-  EXPECT_EQ(locality.placement, OfflinePlacement::kLocality);
-  EXPECT_EQ(locality.offline.rounds, 1 + hub_levels);
-  EXPECT_EQ(locality.offline.exchange_rounds, hub_levels);
-  EXPECT_EQ(locality.offline.comm.messages, dist.num_machines);
-  EXPECT_EQ(locality.offline.shuffled.messages,
+  // One leaf gather round, then one exchange round per level with hubs: the
+  // coordinator link carries only the leaf gather.
+  EXPECT_EQ(result.offline.rounds, 1 + hub_levels);
+  EXPECT_EQ(result.offline.exchange_rounds, hub_levels);
+  EXPECT_EQ(result.offline.comm.messages, dist.num_machines);
+  EXPECT_EQ(result.offline.shuffled.messages,
             hub_levels * dist.num_machines * (dist.num_machines - 1));
-  EXPECT_EQ(locality.remote_induces, 0u);
-  EXPECT_LE(locality.induces, owner.induces);
 
-  // Cross-mode ledger identity: every hub record owner-placement gathered is
-  // the same record locality placement either kept at home or shuffled, so
-  // the byte columns partition exactly.
-  size_t level_bytes = 0;
-  ASSERT_EQ(locality.levels.size(), hub_levels);
-  for (const auto& level : locality.levels) {
-    level_bytes += level.local_bytes + level.shuffled_bytes;
+  // Every subgraph is induced exactly once, on its home machine: each leaf
+  // in the leaf superstep, each hub-bearing subgraph in its level's shuffle.
+  size_t expected_induces = h.leaves().size();
+  for (const auto& sub : h.subgraphs()) {
+    if (!sub.hubs.empty()) ++expected_induces;
   }
-  EXPECT_EQ(owner.offline.comm.bytes,
-            locality.offline.comm.bytes + level_bytes);
-  EXPECT_EQ(owner.TotalBytes(), locality.TotalBytes());
+  EXPECT_EQ(result.induces, expected_induces);
 
-  for (const DistributedPrecompute::Result* result : {&owner, &locality}) {
-    EXPECT_GT(result->offline.simulated_seconds, 0.0);
-    EXPECT_GT(result->ledger.TotalSeconds(), 0.0);
-    EXPECT_EQ(result->ledger.num_machines(), dist.num_machines);
+  // The per-level record ledger partitions the shuffle: records that left
+  // their compute site are exactly the bytes the exchange rounds carried
+  // across machines.
+  size_t level_shuffled = 0;
+  size_t level_records = 0;
+  ASSERT_EQ(result.levels.size(), hub_levels);
+  for (const auto& level : result.levels) {
+    level_shuffled += level.shuffled_bytes;
+    level_records += level.local_records + level.shuffled_records;
   }
+  EXPECT_EQ(level_shuffled, result.offline.shuffled.bytes);
+  size_t hub_count = 0;
+  for (const auto& sub : h.subgraphs()) hub_count += sub.hubs.size();
+  EXPECT_EQ(level_records, 2 * hub_count);  // skeleton column + hub partial
+
+  // Stored footprint matches the centralized oracle distributed onto the
+  // same machines.
+  HgpaIndex centralized = HgpaIndex::Distribute(pre, dist.num_machines);
+  EXPECT_EQ(result.TotalBytes(), centralized.TotalBytes());
+
+  EXPECT_GT(result.offline.simulated_seconds, 0.0);
+  EXPECT_GT(result.ledger.TotalSeconds(), 0.0);
+  EXPECT_EQ(result.ledger.num_machines(), dist.num_machines);
 }
 
-TEST(DistPrecompute, LocalityModeBitIdenticalToOwnerMode) {
+TEST(DistPrecompute, LocalityPlacementSharedWithIndexAndMatchesCentralized) {
   Graph g = RandomDigraph(110, 3.0, 19);
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
+  HgpaIndex centralized = HgpaIndex::Distribute(pre, 4);
 
   for (bool sequential : {false, true}) {
     DistPrecomputeOptions dist;
     dist.num_machines = 4;
     dist.sequential = sequential;
-    dist.locality = OfflinePlacement::kOwner;
-    DistributedPrecompute::Result owner =
+    DistributedPrecompute::Result result =
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-    dist.locality = OfflinePlacement::kLocality;
-    DistributedPrecompute::Result locality =
-        DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-
-    // Both modes must reproduce the centralized oracle on every machine —
-    // which also makes them bit-identical to each other.
-    ExpectBitIdentical(*pre, owner);
-    ExpectBitIdentical(*pre, locality);
+    ExpectBitIdentical(*pre, result);
     for (size_t m = 0; m < dist.num_machines; ++m) {
-      EXPECT_EQ(owner.stores[m].TotalSerializedBytes(),
-                locality.stores[m].TotalSerializedBytes())
+      EXPECT_EQ(result.stores[m].TotalSerializedBytes(),
+                centralized.store(m).TotalSerializedBytes())
           << "machine " << m;
+    }
+
+    // The offline run and the centralized path derive the same plan from
+    // the same hierarchy...
+    const PlacementPlan& plan = *result.plan;
+    const PlacementPlan& oracle_plan = *centralized.shared_plan();
+    EXPECT_EQ(plan.own_machine, oracle_plan.own_machine);
+    EXPECT_EQ(plan.machine_hubs, oracle_plan.machine_hubs);
+    EXPECT_EQ(plan.home_machine, oracle_plan.home_machine);
+
+    // ...and the index adopting the run holds that very table, not a copy.
+    std::shared_ptr<const PlacementPlan> shared = result.plan;
+    HgpaIndex index = HgpaIndex::FromDistributed(std::move(result));
+    EXPECT_EQ(index.shared_plan(), shared);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      EXPECT_EQ(index.own_vector_machine(u), centralized.own_vector_machine(u));
     }
   }
 }
@@ -263,14 +264,12 @@ TEST(DistPrecompute, GpaLocalityModeBitIdenticalToCentralized) {
 
   DistPrecomputeOptions dist;
   dist.num_machines = 3;
-  dist.locality = OfflinePlacement::kLocality;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
   ExpectBitIdentical(*pre, result);
   // GPA's flat hierarchy has one hub level: one leaf gather + one shuffle.
   EXPECT_EQ(result.offline.rounds, 2u);
   EXPECT_EQ(result.offline.exchange_rounds, 1u);
-  EXPECT_EQ(result.remote_induces, 0u);
 }
 
 TEST(DistPrecompute, HomeMachinePartitionsSubgraphsAndMatchesLeafPacking) {
@@ -282,7 +281,7 @@ TEST(DistPrecompute, HomeMachinePartitionsSubgraphsAndMatchesLeafPacking) {
   DistributedPrecompute::Result result =
       DistributedPrecompute::RunHgpa(g, options, dist);
 
-  const PlacementPlan& plan = result.plan;
+  const PlacementPlan& plan = *result.plan;
   ASSERT_EQ(plan.home_machine.size(), result.hierarchy->num_subgraphs());
   for (size_t home : plan.home_machine) {
     EXPECT_LT(home, dist.num_machines);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,41 +47,38 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
   return DistributedPrecompute::Run(g, h, options, dist);
 }
 
-DistributedPrecompute::Result RunOfflineMode(const Graph& g, const Hierarchy& h,
-                                             const HgpaOptions& options,
-                                             OfflinePlacement placement,
-                                             TransportBackend backend,
-                                             StorageBackend storage,
-                                             size_t machines) {
+DistributedPrecompute::Result RunOfflineOn(const Graph& g, const Hierarchy& h,
+                                           const HgpaOptions& options,
+                                           TransportBackend backend,
+                                           StorageBackend storage,
+                                           size_t machines) {
   DistPrecomputeOptions dist;
   dist.num_machines = machines;
-  dist.locality = placement;
   dist.transport = Backend(backend);
   dist.storage = StorageOptions{};
   dist.storage.backend = storage;
   return DistributedPrecompute::Run(g, h, options, dist);
 }
 
-// Every stored vector of `tcp` must equal its `inproc` counterpart bit for
-// bit. The walk mirrors the placement plan: hubs' skeleton columns and
-// partial vectors on the machine owning the hub, own vectors on the machine
-// owning the node.
-void ExpectStoresIdentical(const DistributedPrecompute::Result& inproc,
-                           const DistributedPrecompute::Result& tcp) {
-  ASSERT_EQ(inproc.num_machines(), tcp.num_machines());
-  const Hierarchy& h = *inproc.hierarchy;
+using StoreOf = std::function<const PpvStore&(size_t)>;
+
+// Every stored vector of `b` must equal its `a` counterpart bit for bit. The
+// walk mirrors the placement plan: hubs' skeleton columns and partial vectors
+// on the machine owning the hub, own vectors on the machine owning the node.
+void ExpectStoresIdentical(const Hierarchy& h, const PlacementPlan& plan,
+                           const StoreOf& a, const StoreOf& b) {
   auto expect_same = [&](VectorKind kind, SubgraphId sub, NodeId node,
                          size_t machine) {
-    PpvRef a = inproc.stores[machine].Find(kind, sub, node);
-    PpvRef b = tcp.stores[machine].Find(kind, sub, node);
-    ASSERT_TRUE(a);
-    ASSERT_TRUE(b);
-    EXPECT_EQ(*a, *b) << "kind " << static_cast<int>(kind) << " sub " << sub
-                      << " node " << node;
+    PpvRef va = a(machine).Find(kind, sub, node);
+    PpvRef vb = b(machine).Find(kind, sub, node);
+    ASSERT_TRUE(va);
+    ASSERT_TRUE(vb);
+    EXPECT_EQ(*va, *vb) << "kind " << static_cast<int>(kind) << " sub " << sub
+                        << " node " << node;
   };
   for (const auto& sub : h.subgraphs()) {
     for (NodeId hub : sub.hubs) {
-      size_t machine = inproc.plan.own_machine[hub];
+      size_t machine = plan.own_machine[hub];
       expect_same(VectorKind::kSkeletonColumn, sub.id, hub, machine);
       expect_same(VectorKind::kHubPartial, sub.id, hub, machine);
     }
@@ -86,9 +86,37 @@ void ExpectStoresIdentical(const DistributedPrecompute::Result& inproc,
   for (SubgraphId leaf : h.leaves()) {
     for (NodeId u : h.subgraph(leaf).nodes) {
       if (h.is_hub(u)) continue;  // hubs' own vectors are their partials
-      expect_same(VectorKind::kOwnVector, leaf, u, inproc.plan.own_machine[u]);
+      expect_same(VectorKind::kOwnVector, leaf, u, plan.own_machine[u]);
     }
   }
+}
+
+void ExpectStoresIdentical(const DistributedPrecompute::Result& inproc,
+                           const DistributedPrecompute::Result& tcp) {
+  ASSERT_EQ(inproc.num_machines(), tcp.num_machines());
+  ExpectStoresIdentical(
+      *inproc.hierarchy, *inproc.plan,
+      [&](size_t m) -> const PpvStore& { return inproc.stores[m]; },
+      [&](size_t m) -> const PpvStore& { return tcp.stores[m]; });
+}
+
+// Locality-vs-centralized comparison: the offline run and the centralized
+// oracle take different routes to their stores, but every stored vector and
+// every per-machine footprint must agree.
+void ExpectIndexesIdentical(const HgpaIndex& centralized,
+                            const HgpaIndex& locality) {
+  ASSERT_EQ(centralized.num_machines(), locality.num_machines());
+  EXPECT_EQ(centralized.BytesPerMachine(), locality.BytesPerMachine());
+  EXPECT_EQ(centralized.MaxMachineBytes(), locality.MaxMachineBytes());
+  for (size_t m = 0; m < centralized.num_machines(); ++m) {
+    EXPECT_EQ(centralized.store(m).num_vectors(),
+              locality.store(m).num_vectors())
+        << "machine " << m;
+  }
+  ExpectStoresIdentical(
+      centralized.hierarchy(), *centralized.shared_plan(),
+      [&](size_t m) -> const PpvStore& { return centralized.store(m); },
+      [&](size_t m) -> const PpvStore& { return locality.store(m); });
 }
 
 void ExpectOfflineLedgersIdentical(const DistributedPrecompute::Result& inproc,
@@ -105,22 +133,6 @@ void ExpectOfflineLedgersIdentical(const DistributedPrecompute::Result& inproc,
               tcp.stores[m].TotalSerializedBytes())
         << "machine " << m;
     EXPECT_EQ(inproc.stores[m].num_vectors(), tcp.stores[m].num_vectors())
-        << "machine " << m;
-  }
-}
-
-// Cross-placement comparison: locality and owner modes take different routes
-// (shuffle vs gather), so round/traffic ledgers legitimately differ — but
-// everything derived from the stored vectors must not.
-void ExpectStoreFootprintsIdentical(const DistributedPrecompute::Result& a,
-                                    const DistributedPrecompute::Result& b) {
-  EXPECT_EQ(a.TotalBytes(), b.TotalBytes());
-  EXPECT_EQ(a.MaxMachineBytes(), b.MaxMachineBytes());
-  for (size_t m = 0; m < a.num_machines(); ++m) {
-    EXPECT_EQ(a.stores[m].TotalSerializedBytes(),
-              b.stores[m].TotalSerializedBytes())
-        << "machine " << m;
-    EXPECT_EQ(a.stores[m].num_vectors(), b.stores[m].num_vectors())
         << "machine " << m;
   }
 }
@@ -197,53 +209,52 @@ TEST(NetEquivalence, SequentialAndParallelTcpOfflineAgree) {
   ExpectStoresIdentical(a, b);
 }
 
-TEST(NetEquivalence, LocalityShuffleMatchesOwnerAcrossTransportsAndStores) {
-  // The locality pipeline's acceptance matrix: owner vs locality placement,
-  // crossed with both transports and both storage backends, must produce
-  // bit-identical stores and query answers. The shuffle may only change who
-  // computes and which link the record crosses — never its bytes.
-  Graph g = RandomDigraph(100, 3.0, 67);
-  HgpaOptions options = SmallOptions();
-  Hierarchy h = Hierarchy::Build(g, options.hierarchy);
-
+// The offline acceptance matrix: the locality shuffle, crossed with both
+// transports and both storage backends, must reproduce the centralized
+// oracle (HgpaPrecomputation distributed by HgpaIndex::Distribute onto the
+// same backend) — bit-identical stores and query answers. The shuffle may
+// only change who computes and which link a record crosses, never its bytes.
+void ExpectLocalityMatchesCentralized(const Graph& g, const Hierarchy& h,
+                                      const HgpaOptions& options,
+                                      size_t machines) {
+  auto pre = HgpaPrecomputation::Run(g, Hierarchy(h), options);
   for (TransportBackend transport :
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {
     for (StorageBackend storage :
          {StorageBackend::kMemoryOwned, StorageBackend::kDisk}) {
-      auto owner = RunOfflineMode(g, h, options, OfflinePlacement::kOwner,
-                                  transport, storage, 4);
-      auto locality = RunOfflineMode(g, h, options, OfflinePlacement::kLocality,
-                                     transport, storage, 4);
-      EXPECT_EQ(locality.remote_induces, 0u);
-      EXPECT_GT(owner.remote_induces, 0u);
-      EXPECT_GT(locality.offline.exchange_rounds, 0u);
-      ExpectStoreFootprintsIdentical(owner, locality);
-      ExpectStoresIdentical(owner, locality);
+      SCOPED_TRACE(std::string(TransportBackendName(transport)) + "/" +
+                   StorageBackendName(storage));
+      StorageOptions storage_options;
+      storage_options.backend = storage;
+      HgpaIndex centralized =
+          HgpaIndex::Distribute(pre, machines, storage_options);
+      DistributedPrecompute::Result result =
+          RunOfflineOn(g, h, options, transport, storage, machines);
+      EXPECT_GT(result.offline.exchange_rounds, 0u);
+      HgpaIndex locality = HgpaIndex::FromDistributed(std::move(result));
+      ExpectIndexesIdentical(centralized, locality);
 
-      HgpaQueryEngine owner_engine(
-          HgpaIndex::FromDistributed(std::move(owner)), NetworkModel{},
-          Backend(transport));
-      HgpaQueryEngine locality_engine(
-          HgpaIndex::FromDistributed(std::move(locality)), NetworkModel{},
-          Backend(transport));
-      ExpectQuerySurfaceIdentical(g, owner_engine, locality_engine);
+      HgpaQueryEngine centralized_engine(std::move(centralized), NetworkModel{},
+                                         Backend(transport));
+      HgpaQueryEngine locality_engine(std::move(locality), NetworkModel{},
+                                      Backend(transport));
+      ExpectQuerySurfaceIdentical(g, centralized_engine, locality_engine);
     }
   }
 }
 
-TEST(NetEquivalence, GpaLocalityShuffleMatchesOwnerOverTcp) {
+TEST(NetEquivalence, LocalityShuffleMatchesCentralizedAcrossTransportsAndStores) {
+  Graph g = RandomDigraph(100, 3.0, 67);
+  HgpaOptions options = SmallOptions();
+  ExpectLocalityMatchesCentralized(g, Hierarchy::Build(g, options.hierarchy),
+                                   options, 4);
+}
+
+TEST(NetEquivalence, GpaLocalityShuffleMatchesCentralizedAcrossTransportsAndStores) {
   Graph g = RandomDigraph(80, 3.0, 71);
   HgpaOptions options = SmallOptions();
-  Hierarchy flat = Hierarchy::BuildFlat(g, 4, options.hierarchy.partition);
-
-  auto owner =
-      RunOfflineMode(g, flat, options, OfflinePlacement::kOwner,
-                     TransportBackend::kTcp, StorageBackend::kMemoryOwned, 3);
-  auto locality =
-      RunOfflineMode(g, flat, options, OfflinePlacement::kLocality,
-                     TransportBackend::kTcp, StorageBackend::kMemoryOwned, 3);
-  ExpectStoreFootprintsIdentical(owner, locality);
-  ExpectStoresIdentical(owner, locality);
+  ExpectLocalityMatchesCentralized(
+      g, Hierarchy::BuildFlat(g, 4, options.hierarchy.partition), options, 3);
 }
 
 TEST(NetEquivalence, LocalityShuffledBytesIdenticalAcrossBackends) {
@@ -261,7 +272,6 @@ TEST(NetEquivalence, LocalityShuffledBytesIdenticalAcrossBackends) {
       DistPrecomputeOptions dist;
       dist.num_machines = 4;
       dist.sequential = sequential;
-      dist.locality = OfflinePlacement::kLocality;
       dist.transport = Backend(transport);
       runs.push_back(DistributedPrecompute::Run(g, h, options, dist));
     }

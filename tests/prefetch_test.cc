@@ -56,30 +56,6 @@ void RemoveSpill(const std::string& path) {
   }
 }
 
-/// Env override restored on scope exit (engines read DPPR_PREFETCH at
-/// construction, so tests pin it only around the constructor).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
 // ---------------------------------------------------------------------------
 // Prefetch unit behavior on a raw disk store
 // ---------------------------------------------------------------------------
@@ -410,7 +386,7 @@ TEST(SpillManifestHostile, RecordInWrongSegmentDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: prefetch on/off x transport x backend
+// Engine-level equivalence: disk (always prefetching) vs memory x transport
 // ---------------------------------------------------------------------------
 
 HgpaOptions SmallOptions() {
@@ -430,7 +406,7 @@ void ExpectEnginesAgree(const Graph& g, HgpaQueryEngine& a, HgpaQueryEngine& b) 
   EXPECT_EQ(a.QueryPreferenceSet(prefs), b.QueryPreferenceSet(prefs));
 }
 
-TEST(PrefetchEquivalence, OnOffAndMemoryBitIdenticalOnBothTransports) {
+TEST(PrefetchEquivalence, DiskAndMemoryBitIdenticalOnBothTransports) {
   Graph g = RandomDigraph(90, 3.0, 17);
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
@@ -446,32 +422,17 @@ TEST(PrefetchEquivalence, OnOffAndMemoryBitIdenticalOnBothTransports) {
     transport.backend = backend;
     HgpaQueryEngine reference(HgpaIndex::Distribute(pre, 3, memory),
                               NetworkModel{}, transport);
-    std::optional<HgpaQueryEngine> disk_on;
-    {
-      ScopedEnv env("DPPR_PREFETCH", "on");
-      disk_on.emplace(HgpaIndex::Distribute(pre, 3, disk), NetworkModel{},
-                      transport);
-    }
-    std::optional<HgpaQueryEngine> disk_off;
-    {
-      ScopedEnv env("DPPR_PREFETCH", "off");
-      disk_off.emplace(HgpaIndex::Distribute(pre, 3, disk), NetworkModel{},
-                       transport);
-    }
+    HgpaQueryEngine disk_engine(HgpaIndex::Distribute(pre, 3, disk),
+                                NetworkModel{}, transport);
 
-    ExpectEnginesAgree(g, reference, *disk_on);
-    ExpectEnginesAgree(g, reference, *disk_off);
-    ExpectEnginesAgree(g, *disk_on, *disk_off);
+    ExpectEnginesAgree(g, reference, disk_engine);
 
-    // The gate is observable: only the prefetching engine issues loads, and
-    // the off engine reads every extent inside the fold instead.
-    StorageStats on_stats = disk_on->index().StorageStatsTotal();
-    StorageStats off_stats = disk_off->index().StorageStatsTotal();
-    EXPECT_GT(on_stats.prefetch_issued, 0u);
-    EXPECT_GT(on_stats.prefetch_bytes, 0u);
-    EXPECT_GT(on_stats.prefetch_coalesced_reads, 0u);
-    EXPECT_EQ(off_stats.prefetch_issued, 0u);
-    EXPECT_EQ(off_stats.prefetch_bytes, 0u);
+    // Disk machine tasks always prefetch; the memory backend has nothing to
+    // load and issues no prefetches.
+    StorageStats disk_stats = disk_engine.index().StorageStatsTotal();
+    EXPECT_GT(disk_stats.prefetch_issued, 0u);
+    EXPECT_GT(disk_stats.prefetch_bytes, 0u);
+    EXPECT_GT(disk_stats.prefetch_coalesced_reads, 0u);
     EXPECT_EQ(reference.index().StorageStatsTotal().prefetch_issued, 0u);
   }
 }
@@ -481,29 +442,14 @@ TEST(PrefetchEquivalence, ServerStatsExposeThePrefetchWindow) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  std::optional<QueryServer> server;
-  {
-    ScopedEnv env("DPPR_PREFETCH", "on");
-    server.emplace(
-        HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Disk(size_t{1} << 20))));
-  }
-  for (NodeId q = 0; q < g.num_nodes(); q += 6) (void)server->Query(q);
-  ServerStats stats = server->Stats();
+  QueryServer server(
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Disk(size_t{1} << 20))));
+  for (NodeId q = 0; q < g.num_nodes(); q += 6) (void)server.Query(q);
+  ServerStats stats = server.Stats();
   EXPECT_GT(stats.prefetch_issued, 0u);
   EXPECT_GT(stats.prefetch_coalesced_reads, 0u);
   EXPECT_GT(stats.prefetch_bytes, 0u);
   EXPECT_GT(stats.cache_hits, 0u);
-}
-
-TEST(PrefetchGate, TypoDies) {
-  // DPPR_PREFETCH=fats must not silently serve unprefetched (or prefetched):
-  // same refuse-to-guess policy as DPPR_STORE.
-  Graph g = RandomDigraph(30, 2.0, 3);
-  HgpaOptions options = SmallOptions();
-  auto pre = HgpaPrecomputation::RunHgpa(g, options);
-  ScopedEnv env("DPPR_PREFETCH", "fats");
-  EXPECT_DEATH(HgpaQueryEngine(HgpaIndex::Distribute(pre, 2)),
-               "DPPR_CHECK failed");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,21 @@ HgpaQueryEngine MakeEngine(std::shared_ptr<const HgpaPrecomputation> pre,
       NetworkModel{}, TransportOptions::FromEnv(), RoutingOptions{mode});
 }
 
+std::vector<size_t> AllMachines(size_t n) {
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
+}
+
+/// Broadcast's identity plan, as a query's metrics see it: every machine
+/// ran, each shipped exactly one fragment, and nothing was saved.
+void ExpectIdentityRound(const QueryMetrics& metrics, size_t machines) {
+  EXPECT_EQ(metrics.machines, AllMachines(machines));
+  EXPECT_EQ(metrics.machines_contacted, machines);
+  EXPECT_EQ(metrics.comm.messages, machines);
+  EXPECT_EQ(metrics.routing_bytes_saved, 0u);
+}
+
 /// The core invariant: routed answers are BIT-identical to broadcast for
 /// every query node — same fold order per owner, owner-ascending coordinator
 /// reduce, so the floating-point sums match exactly.
@@ -54,7 +70,8 @@ void ExpectRoutedMatchesBroadcast(const Graph& graph, size_t machines,
   ASSERT_EQ(routed.routing_mode(), RoutingMode::kRoute);
   ASSERT_EQ(broadcast.routing_mode(), RoutingMode::kBroadcast);
   ASSERT_NE(routed.router(), nullptr);
-  ASSERT_EQ(broadcast.router(), nullptr);
+  ASSERT_NE(broadcast.router(), nullptr);
+  ASSERT_EQ(broadcast.router()->mode(), RoutingMode::kBroadcast);
 
   uint64_t routed_messages = 0, broadcast_messages = 0;
   for (NodeId q = 0; q < graph.num_nodes(); ++q) {
@@ -66,8 +83,7 @@ void ExpectRoutedMatchesBroadcast(const Graph& graph, size_t machines,
               broadcast_metrics.machines_contacted)
         << "query " << q;
     EXPECT_GE(routed_metrics.machines_contacted, 1u) << "query " << q;
-    EXPECT_EQ(broadcast_metrics.machines_contacted, machines);
-    EXPECT_EQ(broadcast_metrics.routing_bytes_saved, 0u);
+    ExpectIdentityRound(broadcast_metrics, machines);
     routed_messages += routed_metrics.comm.messages;
     broadcast_messages += broadcast_metrics.comm.messages;
   }
@@ -148,6 +164,49 @@ TEST(QueryRouting, ZeroWeightPreferencesContactNoMachines) {
   EXPECT_EQ(ppv.size(), 0u);
   EXPECT_EQ(metrics.machines_contacted, 0u);
   EXPECT_EQ(metrics.comm.messages, 0u);
+}
+
+TEST(QueryRouting, BroadcastIsTheIdentityPlan) {
+  Graph graph = RandomDigraph(40, 3.0, 9);
+  auto pre = Precompute(graph);
+  constexpr size_t kMachines = 3;
+  HgpaIndex index = HgpaIndex::Distribute(pre, kMachines);
+  QueryRouter router(index, RoutingMode::kBroadcast);
+  EXPECT_EQ(router.mode(), RoutingMode::kBroadcast);
+
+  // Every source set — the empty one included — gets machines 0..n-1, each
+  // covering only itself.
+  const std::vector<std::vector<size_t>> identity_owners{{0}, {1}, {2}};
+  const NodeId one[] = {5};
+  const NodeId two[] = {5, 31};
+  for (std::span<const NodeId> sources :
+       {std::span<const NodeId>(), std::span<const NodeId>(one),
+        std::span<const NodeId>(two)}) {
+    QueryRouter::Plan plan = router.Route(sources);
+    EXPECT_EQ(plan.machines, AllMachines(kMachines));
+    EXPECT_EQ(plan.owners, identity_owners);
+    EXPECT_EQ(plan.contributors, kMachines);
+  }
+
+  // An all-zero-weight preference set still runs the full round: one empty
+  // fragment per machine.
+  HgpaQueryEngine broadcast = MakeEngine(pre, kMachines, RoutingMode::kBroadcast);
+  QueryMetrics metrics;
+  SparseVector ppv = broadcast.QueryPreferenceSet(
+      std::vector<HgpaQueryEngine::Preference>{{5, 0.0}}, &metrics);
+  EXPECT_EQ(ppv.size(), 0u);
+  ExpectIdentityRound(metrics, kMachines);
+  EXPECT_EQ(metrics.comm.bytes, kMachines * SparseVector().SerializedBytes());
+
+  // Batched broadcast queries each report the identity plan too.
+  std::vector<std::vector<HgpaQueryEngine::Preference>> batch{
+      {{7, 1.0}}, {{3, 0.0}}, {{12, 0.5}, {30, 0.5}}};
+  std::vector<QueryMetrics> per_query;
+  QueryMetrics round;
+  broadcast.QueryPreferenceSetMany(batch, &per_query, &round);
+  ASSERT_EQ(per_query.size(), batch.size());
+  for (const QueryMetrics& m : per_query) ExpectIdentityRound(m, kMachines);
+  EXPECT_EQ(round.comm.messages, kMachines);
 }
 
 TEST(QueryRouting, PlanInvariants) {

@@ -157,6 +157,7 @@ void ExpectSpansOnExactlyTheRoutedMachines(TransportBackend backend) {
   std::set<uint32_t> machine_lanes_with_our_trace;
   std::set<uint32_t> lanes_with_machine_span;
   bool saw_request_span = false;
+  bool saw_reduce_span = false;
   for (const JsonValue& e : doc.at("traceEvents").array) {
     if (e.at("ph").str != "X") continue;
     if (e.object.count("args") == 0 || e.at("args").object.count("trace") == 0)
@@ -172,9 +173,13 @@ void ExpectSpansOnExactlyTheRoutedMachines(TransportBackend backend) {
       }
     } else if (e.at("name").str == "serve.request") {
       saw_request_span = true;
+    } else if (e.at("name").str == "cluster.reduce") {
+      saw_reduce_span = true;
     }
   }
   EXPECT_TRUE(saw_request_span);
+  // The coordinator reduce is attributed to the query too.
+  EXPECT_TRUE(saw_reduce_span);
   // Every routed machine ran a cluster.machine span under our trace id, and
   // NO machine lane outside the plan carries any span with it (store and
   // net.tcp.send spans included — they inherit the same context).
@@ -189,6 +194,35 @@ TEST(TracePropagation, RoutedQuerySpansInproc) {
 
 TEST(TracePropagation, RoutedQuerySpansTcp) {
   ExpectSpansOnExactlyTheRoutedMachines(TransportBackend::kTcp);
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator reduce timing on the serving path
+// ---------------------------------------------------------------------------
+
+TEST(CoordinatorReduce, EveryServedRoundRecordsItsReduceSample) {
+  Graph graph = RandomDigraph(80, 3.0, 31);
+  auto pre = HgpaPrecomputation::RunHgpa(graph, SmallOptions());
+  obs::Histogram* reduce_us =
+      obs::MetricsRegistry::Global().GetHistogram("cluster.reduce_us");
+  for (RoutingMode mode : {RoutingMode::kRoute, RoutingMode::kBroadcast}) {
+    QueryServer server(
+        HgpaQueryEngine(HgpaIndex::Distribute(pre, 4), NetworkModel{},
+                        TransportOptions::FromEnv(), RoutingOptions{mode}),
+        ServeOptions{});
+    for (NodeId q = 0; q < graph.num_nodes(); q += 9) {
+      const uint64_t count_before = reduce_us->Count();
+      const uint64_t sum_before = reduce_us->Sum();
+      QueryServer::Response r = server.Query(q);
+      ASSERT_FALSE(r.shed);
+      // One round per single-threaded query, one reduce sample per round,
+      // and the sample is the very value the query reports.
+      EXPECT_EQ(reduce_us->Count(), count_before + 1) << "query " << q;
+      EXPECT_EQ(reduce_us->Sum() - sum_before,
+                static_cast<uint64_t>(r.metrics.coordinator_seconds * 1e6))
+          << "query " << q;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
