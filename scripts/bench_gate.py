@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: rerun the serving benches and diff key rows
-against the committed bench/snapshots/BENCH_*.json.
+"""Bench-regression gate: rerun the gated benches and diff key rows against
+the committed bench/snapshots/BENCH_*.json.
 
-Runs `fig_serving_throughput --json` and `fig_query_fold --json` at each
-snapshot's recorded scale (DPPR_BENCH_SCALE), then compares every metric the
-snapshot carries:
+Runs `fig_serving_throughput --json`, `fig_query_fold --json` and
+`fig_offline_scalability --json` at each snapshot's recorded scale
+(DPPR_BENCH_SCALE), then compares every metric the snapshot carries:
 
   * deterministic metrics (byte/round/read counts) must match within a tight
     tolerance -- drift here is a logic change, not noise;
-  * timing metrics (qps, latency, ns/entry) get a loose tolerance -- CI
-    machines are noisy, and the gate's job is catching collapses, not
-    single-digit regressions.
+  * timing metrics (qps, latency, ns/entry, offline seconds) get a loose
+    tolerance -- CI machines are noisy, and the gate's job is catching
+    collapses, not single-digit regressions.
 
 Exit code 1 when any metric lands outside its tolerance. The CI leg runs
 this with continue-on-error: the deltas are printed for the reviewer, the
@@ -25,22 +25,35 @@ import subprocess
 import sys
 import tempfile
 
-# Metrics whose values are deterministic re-runs of the same workload (byte
-# accounting, read counts). Anything else is timing-dependent — including
-# `rounds` and `mean_batch` in the closed-loop serving bench, where how many
-# requests a combining leader absorbs per round is pure scheduler timing.
-# Per-query fragment bytes are batch-invariant, so comm_kb_per_query stays
-# deterministic even as batching shifts.
+# Per gated bench, the metrics whose values are deterministic re-runs of the
+# same workload (byte accounting, read and round counts). Anything else is
+# timing-dependent — including `rounds` and `mean_batch` in the closed-loop
+# serving bench, where how many requests a combining leader absorbs per round
+# is pure scheduler timing. Per-query fragment bytes are batch-invariant, so
+# comm_kb_per_query stays deterministic even as batching shifts. The offline
+# bench's superstep, traffic, induce and space columns pin the offline
+# phase's output, which must not depend on how its kernels are scheduled.
 DETERMINISTIC = {
-    "comm_kb_per_query",
-    "entries_per_round",
-    "disk_mb_read",
-    "preads",
-    "prefetch_issued",
-    "prefetch_coalesced_reads",
+    "fig_serving_throughput": {"comm_kb_per_query"},
+    "fig_query_fold": {
+        "entries_per_round",
+        "disk_mb_read",
+        "preads",
+        "prefetch_issued",
+        "prefetch_coalesced_reads",
+    },
+    "fig_offline_scalability": {
+        "machines",
+        "rounds",
+        "exchange_rounds",
+        "shipped_mb",
+        "shuffled_mb",
+        "induces",
+        "space_mb",
+    },
 }
 
-BENCHES = ["fig_serving_throughput", "fig_query_fold"]
+BENCHES = list(DETERMINISTIC)
 
 
 def run_bench(build_dir: pathlib.Path, bench: str, scale: float) -> dict:
@@ -78,7 +91,7 @@ def check(bench: str, snapshot: dict, fresh: dict, det_tol: float,
                 failures.append(f"{bench}: {label} missing from fresh run")
                 print(f"{label:<52} {'(missing)':>12}")
                 continue
-            tol = det_tol if metric in DETERMINISTIC else timing_tol
+            tol = det_tol if metric in DETERMINISTIC[bench] else timing_tol
             if want == 0:
                 ok = got == 0
                 delta = "n/a" if ok else "inf"

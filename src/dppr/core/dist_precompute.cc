@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "dppr/common/serialize.h"
+#include "dppr/common/thread_pool.h"
 #include "dppr/common/timer.h"
 #include "dppr/graph/local_graph.h"
 #include "dppr/obs/metrics.h"
@@ -38,11 +43,9 @@ struct ShuffleMetrics {
   }
 };
 
-/// Serializes one record and returns its wire size (what the byte ledgers
-/// and LevelStats charge for it).
-size_t AppendRecord(ByteWriter& writer, VectorKind kind, SubgraphId sub,
-                    NodeId node, double seconds, SparseVector vec) {
-  const size_t before = writer.size();
+/// Serializes one record onto `writer`.
+void AppendRecord(ByteWriter& writer, VectorKind kind, SubgraphId sub,
+                  NodeId node, double seconds, SparseVector vec) {
   VectorRecord record;
   record.kind = kind;
   record.sub = sub;
@@ -50,7 +53,16 @@ size_t AppendRecord(ByteWriter& writer, VectorKind kind, SubgraphId sub,
   record.seconds = seconds;
   record.vec = std::move(vec);
   record.SerializeTo(writer);
-  return writer.size() - before;
+}
+
+/// Hands freed heap pages back to the OS. Hub kernels run on pool workers,
+/// whose malloc arenas keep their freed scratch resident; trimming before a
+/// level's ingest keeps that scratch from stacking under the stores the
+/// ingest fills, which is where the build's peak RSS is set.
+void ReleaseFreedHeap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 size_t Sum(const std::vector<size_t>& values) {
@@ -185,30 +197,46 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
             // sharing the (possibly in-edge-bearing) skeleton induce is
             // bit-safe.
             const std::vector<NodeId> local_hubs = LocalizeHubs(lg, sub);
-            for (NodeId hub : sub.hubs) {
-              const size_t dst = plan.own_machine[hub];
-              size_t bytes = 0;
-              {
-                WallTimer timer;
-                SparseVector vec = ComputeSkeletonColumn(lg, hub, options);
-                bytes += AppendRecord(outbox[dst], VectorKind::kSkeletonColumn,
-                                      sub.id, hub, timer.ElapsedSeconds(),
-                                      std::move(vec));
-              }
-              {
-                WallTimer timer;
-                SparseVector vec =
-                    ComputeHubPartial(lg, sub, local_hubs, hub, options);
-                bytes += AppendRecord(outbox[dst], VectorKind::kHubPartial,
-                                      sub.id, hub, timer.ElapsedSeconds(),
-                                      std::move(vec));
-              }
-              if (dst == machine) {
-                local_records_m[machine] += 2;
-                local_bytes_m[machine] += bytes;
+            // The home machine runs its hub kernels on the process pool
+            // (nested in this machine task) one chunk at a time. Each hub
+            // serializes into its own buffer; a finished chunk is appended
+            // in hub order, so payloads and tallies match a serial loop
+            // byte for byte, and a chunk bounds the buffered records.
+            for (size_t begin = 0; begin < sub.hubs.size(); begin += kHubChunk) {
+              const size_t count = std::min(kHubChunk, sub.hubs.size() - begin);
+              std::vector<ByteWriter> records(count);
+              auto hub_task = [&](size_t i) {
+                const NodeId hub = sub.hubs[begin + i];
+                {
+                  WallTimer timer;
+                  SparseVector vec = ComputeSkeletonColumn(lg, hub, options);
+                  AppendRecord(records[i], VectorKind::kSkeletonColumn, sub.id,
+                               hub, timer.ElapsedSeconds(), std::move(vec));
+                }
+                {
+                  WallTimer timer;
+                  SparseVector vec =
+                      ComputeHubPartial(lg, sub, local_hubs, hub, options);
+                  AppendRecord(records[i], VectorKind::kHubPartial, sub.id,
+                               hub, timer.ElapsedSeconds(), std::move(vec));
+                }
+              };
+              if (options.parallel) {
+                ThreadPool::Default().ParallelFor(count, hub_task);
               } else {
-                shuffled_records_m[machine] += 2;
-                shuffled_bytes_m[machine] += bytes;
+                for (size_t i = 0; i < count; ++i) hub_task(i);
+              }
+              for (size_t i = 0; i < count; ++i) {
+                const size_t dst = plan.own_machine[sub.hubs[begin + i]];
+                const size_t bytes = records[i].size();
+                outbox[dst].PutRaw(records[i].bytes().data(), bytes);
+                if (dst == machine) {
+                  local_records_m[machine] += 2;
+                  local_bytes_m[machine] += bytes;
+                } else {
+                  shuffled_records_m[machine] += 2;
+                  shuffled_bytes_m[machine] += bytes;
+                }
               }
             }
           }
@@ -218,6 +246,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
           return payloads;
         },
         [&](SimCluster::ExchangeResult& exchanged) {
+          ReleaseFreedHeap();
           for (size_t dst = 0; dst < num_machines; ++dst) {
             for (size_t src = 0; src < num_machines; ++src) {
               ingest(dst, exchanged.inboxes[dst][src]);
@@ -243,6 +272,9 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     result.levels.push_back(level_stats);
   }
 
+  // Serving allocations then start from the live index, not on top of the
+  // last level's freed payloads.
+  ReleaseFreedHeap();
   return result;
 }
 

@@ -56,6 +56,11 @@ struct DistPrecomputeOptions {
 /// round-trips doubles exactly); the centralized path remains the oracle.
 class DistributedPrecompute {
  public:
+  /// Hubs a home machine computes per pool ParallelFor (under
+  /// HgpaOptions::parallel) before appending their records to its outboxes
+  /// in hub order; bounds the records buffered outside the outboxes.
+  static constexpr size_t kHubChunk = 64;
+
   struct Result {
     const Graph* graph = nullptr;
     std::shared_ptr<const Hierarchy> hierarchy;

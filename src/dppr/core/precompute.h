@@ -31,7 +31,10 @@ struct HgpaOptions {
   /// Stored entries with |value| <= storage_prune are dropped (HGPA_ad uses
   /// 1e-4, §6.2.9). 0 keeps every non-zero entry.
   double storage_prune = 0.0;
-  /// Run precomputation tasks on the process thread pool.
+  /// Run the per-vector kernels on the process thread pool: every hub and
+  /// leaf task of HgpaPrecomputation::Run, and each home machine's hub
+  /// kernels inside DistributedPrecompute::Run's shuffle supersteps. Outputs
+  /// are bit-identical either way.
   bool parallel = true;
 };
 

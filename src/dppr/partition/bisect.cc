@@ -187,9 +187,14 @@ uint64_t FmRefine(const WGraph& g, std::vector<uint8_t>& side,
       current_weight0 = next_weight0;
       current_cut = static_cast<uint64_t>(static_cast<int64_t>(current_cut) - gu);
       moves.push_back(u);
+      // Only u's term in each neighbor's gain changed, and it flipped sign:
+      // an edge to u that now lies within one side lowers the neighbor's
+      // gain by 2w, one that now crosses raises it by 2w. Integer gains keep
+      // this exact, so every queue entry equals a full MoveGain recompute.
       for (const auto& nbr : g.neighbors(u)) {
         if (locked[nbr.to]) continue;
-        gain[nbr.to] = MoveGain(g, side, nbr.to);
+        const int64_t twice = 2 * static_cast<int64_t>(nbr.weight);
+        gain[nbr.to] += side[nbr.to] == side[u] ? -twice : twice;
         ++stamp[nbr.to];
         pq.push({gain[nbr.to], stamp[nbr.to], nbr.to});
       }

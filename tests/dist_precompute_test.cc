@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dppr/core/hgpa.h"
 #include "dppr/graph/datasets.h"
 #include "test_util.h"
@@ -150,6 +152,85 @@ TEST(DistPrecompute, GpaQueriesFromOwnedStoresMatchLegacyEngine) {
   HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)));
   for (NodeId q = 0; q < g.num_nodes(); q += 13) {
     EXPECT_EQ(legacy.Query(q), owned.Query(q)) << "query " << q;
+  }
+}
+
+// Compares every stored vector of `got` and every ledger it reports against
+// `want` (same hierarchy, same machine count).
+void ExpectSameOfflineOutput(const DistributedPrecompute::Result& want,
+                             const DistributedPrecompute::Result& got) {
+  ASSERT_EQ(got.num_machines(), want.num_machines());
+  const PlacementPlan& plan = *want.plan;
+  auto expect_same = [&](VectorKind kind, SubgraphId sub, NodeId node) {
+    const size_t machine = plan.own_machine[node];
+    PpvRef a = want.stores[machine].Find(kind, sub, node);
+    PpvRef b = got.stores[machine].Find(kind, sub, node);
+    ASSERT_TRUE(a && b) << "sub " << sub << " node " << node;
+    EXPECT_EQ(*b, *a) << "kind " << static_cast<int>(kind) << " sub " << sub
+                      << " node " << node;
+  };
+  for (const auto& sub : want.hierarchy->subgraphs()) {
+    for (NodeId hub : sub.hubs) {
+      expect_same(VectorKind::kSkeletonColumn, sub.id, hub);
+      expect_same(VectorKind::kHubPartial, sub.id, hub);
+    }
+    if (sub.children.empty()) {
+      for (NodeId u : sub.nodes) expect_same(VectorKind::kOwnVector, sub.id, u);
+    }
+  }
+  for (size_t m = 0; m < want.num_machines(); ++m) {
+    EXPECT_EQ(got.stores[m].num_vectors(), want.stores[m].num_vectors());
+    EXPECT_EQ(got.stores[m].TotalSerializedBytes(),
+              want.stores[m].TotalSerializedBytes());
+    for (VectorKind kind : {VectorKind::kOwnVector, VectorKind::kHubPartial,
+                            VectorKind::kSkeletonColumn}) {
+      EXPECT_EQ(got.stores[m].SerializedBytesByKind(kind),
+                want.stores[m].SerializedBytesByKind(kind))
+          << "machine " << m << " kind " << static_cast<int>(kind);
+    }
+  }
+  ASSERT_EQ(got.levels.size(), want.levels.size());
+  for (size_t i = 0; i < want.levels.size(); ++i) {
+    EXPECT_EQ(got.levels[i].level, want.levels[i].level);
+    EXPECT_EQ(got.levels[i].induces, want.levels[i].induces);
+    EXPECT_EQ(got.levels[i].local_records, want.levels[i].local_records);
+    EXPECT_EQ(got.levels[i].local_bytes, want.levels[i].local_bytes);
+    EXPECT_EQ(got.levels[i].shuffled_records, want.levels[i].shuffled_records);
+    EXPECT_EQ(got.levels[i].shuffled_bytes, want.levels[i].shuffled_bytes);
+  }
+  EXPECT_EQ(got.induces, want.induces);
+  EXPECT_EQ(got.offline.rounds, want.offline.rounds);
+  EXPECT_EQ(got.offline.exchange_rounds, want.offline.exchange_rounds);
+  EXPECT_EQ(got.offline.comm.bytes, want.offline.comm.bytes);
+  EXPECT_EQ(got.offline.comm.messages, want.offline.comm.messages);
+  EXPECT_EQ(got.offline.shuffled.bytes, want.offline.shuffled.bytes);
+  EXPECT_EQ(got.offline.shuffled.messages, want.offline.shuffled.messages);
+}
+
+TEST(DistPrecompute, ParallelHubKernelsMatchSerialInBothClusterModes) {
+  Graph g = RandomDigraph(300, 3.0, 13);
+  HgpaOptions serial = SmallOptions();
+  serial.parallel = false;
+  const Hierarchy hierarchy = Hierarchy::Build(g, serial.hierarchy);
+  // The home loop must cross a chunk boundary for this to test chunking.
+  size_t max_hubs = 0;
+  for (const auto& sub : hierarchy.subgraphs()) {
+    max_hubs = std::max(max_hubs, sub.hubs.size());
+  }
+  ASSERT_GT(max_hubs, DistributedPrecompute::kHubChunk);
+
+  HgpaOptions parallel = serial;
+  parallel.parallel = true;
+  for (bool sequential : {false, true}) {
+    DistPrecomputeOptions dist;
+    dist.num_machines = 4;
+    dist.sequential = sequential;
+    DistributedPrecompute::Result want =
+        DistributedPrecompute::Run(g, hierarchy, serial, dist);
+    DistributedPrecompute::Result got =
+        DistributedPrecompute::Run(g, hierarchy, parallel, dist);
+    SCOPED_TRACE(sequential ? "sequential cluster" : "parallel cluster");
+    ExpectSameOfflineOutput(want, got);
   }
 }
 
